@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the framework components: frontend,
 //! static analysis, graph construction, objective evaluation (the paper
-//! reports it dominates >90% of search runtime), GA generations, functional
-//! simulation and fusion code generation.
+//! reports it dominates >90% of its search runtime; in this implementation
+//! breeding is the larger share, see DESIGN.md §5.3), GA generations,
+//! functional simulation and fusion code generation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sf_apps::{app_by_name, AppConfig};
@@ -95,7 +96,10 @@ fn bench_search(c: &mut Criterion) {
     let space = search_space();
     let ind = sf_search::Individual::singletons(&space);
     let penalty = sf_search::objective::Penalty::default();
-    // The objective function: the paper's dominant search cost.
+    // The objective function: the paper's dominant search cost. Here a
+    // memoized score is cheap, and breeding (feasibility checks on every
+    // tentative move) is the larger share of a search; the GA bench below
+    // times both together.
     c.bench_function("search/objective_fitness", |b| {
         b.iter(|| sf_search::objective::fitness(black_box(&space), &ind, &penalty))
     });

@@ -5,7 +5,9 @@
 //! ```text
 //! <root>/
 //!   entries/<key-hex>.plan        committed entries (only ever renamed in)
-//!   tmp/<key-hex>.<token>.tmp     in-flight writes (swept on open)
+//!   tmp/<key-hex>.<pid>.<start>.<token>.tmp
+//!                                 in-flight writes, named by writer
+//!                                 (swept on open once the writer is dead)
 //!   locks/<key-hex>.lock          single-writer locks (token + liveness)
 //!   quarantine/<key-hex>.<why>.<n>  entries that failed to decode
 //!   journal                       recency log driving LRU quota eviction
@@ -154,6 +156,10 @@ pub struct PlanStore {
     short_write_armed: AtomicBool,
     /// Distinguishes quarantine filenames and lock tokens within a process.
     op_counter: AtomicU64,
+    /// `<pid>.<start time>` of this process: the writer part of every temp
+    /// file name, so no two processes can collide on one and a sweep can
+    /// tell a live writer's file from a dead one's.
+    writer: String,
     hits: AtomicU64,
     misses: AtomicU64,
     recovered: AtomicU64,
@@ -169,8 +175,10 @@ impl PlanStore {
         PlanStore::open_with(root, StoreOptions::default())
     }
 
-    /// Open with explicit options. Sweeps `tmp/` — anything there is an
-    /// in-flight write abandoned by a crash, by construction.
+    /// Open with explicit options. Sweeps `tmp/` of writes abandoned by a
+    /// crash: temp files whose writer is no longer running (see
+    /// `temp_is_abandoned`). Another live process's in-flight publish is
+    /// left alone.
     pub fn open_with(
         root: impl Into<PathBuf>,
         options: StoreOptions,
@@ -187,9 +195,13 @@ impl PlanStore {
             for file in listing.flatten() {
                 // Best-effort: a sweep failure only wastes disk, never
                 // correctness, so it must not fail open().
-                let _ = fs::remove_file(file.path());
+                if temp_is_abandoned(&file.path(), options.lock_timeout) {
+                    let _ = fs::remove_file(file.path());
+                }
             }
         }
+        let pid = std::process::id();
+        let writer = format!("{pid}.{}", process_start_time(pid).unwrap_or(0));
         Ok(PlanStore {
             root,
             lock_timeout: options.lock_timeout,
@@ -204,6 +216,7 @@ impl PlanStore {
             enospc_armed: AtomicBool::new(options.faults.enospc_write),
             short_write_armed: AtomicBool::new(options.faults.short_write),
             op_counter: AtomicU64::new(0),
+            writer,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
@@ -230,6 +243,17 @@ impl PlanStore {
 
     fn journal_path(&self) -> PathBuf {
         self.root.join("journal")
+    }
+
+    /// A fresh temp file path for `stem`: `tmp/<stem>.<pid>.<start>.<n>.tmp`,
+    /// with `n` unique within the process (two stores opened on one root
+    /// by one process never share a name either).
+    fn temp_path(&self, stem: &str) -> PathBuf {
+        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let n = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        self.root
+            .join("tmp")
+            .join(format!("{stem}.{}.{n}.tmp", self.writer))
     }
 
     /// Operation counters so far.
@@ -381,11 +405,7 @@ impl PlanStore {
         }
 
         let bytes = encode(key, payload);
-        let token = self.op_counter.fetch_add(1, Ordering::Relaxed);
-        let tmp_path = self
-            .root
-            .join("tmp")
-            .join(format!("{}.{}.tmp", key.hex(), token));
+        let tmp_path = self.temp_path(&key.hex());
 
         // Injected disk-exhaustion faults. Both strike before the entry
         // namespace is touched, so a full disk can lose only the entry
@@ -399,9 +419,11 @@ impl PlanStore {
         }
         if self.short_write_armed.swap(false, Ordering::Relaxed) {
             // The disk filled mid-write: a strict prefix reaches the temp
-            // file, which then leaks like a crash would (swept next open).
+            // file. The writer is alive, so it removes its own partial file
+            // (only a crashed writer's temp file waits for a sweep).
             let keep = bytes.len() / 2;
             let _ = fs::write(&tmp_path, &bytes[..keep]);
+            let _ = fs::remove_file(&tmp_path);
             return Err(CacheError::io(format!(
                 "injected short write: {keep} of {} bytes before the disk filled",
                 bytes.len()
@@ -416,7 +438,14 @@ impl PlanStore {
         crate::atomic::atomic_write_with(&tmp_path, &entry_path, &bytes, &mut |what| {
             self.step(what)
         })
-        .map_err(|e| e.for_key(*key))?;
+        .map_err(|e| {
+            // A failed write leaves no temp file behind; an injected kill
+            // models a crash, which does, for the next open to sweep.
+            if e.kind != CacheErrorKind::Killed {
+                let _ = fs::remove_file(&tmp_path);
+            }
+            e.for_key(*key)
+        })?;
 
         self.stored.fetch_add(1, Ordering::Relaxed);
 
@@ -537,11 +566,10 @@ impl PlanStore {
                 .filter(|e| e.path.exists())
                 .map(|e| format!("{}\n", e.hex))
                 .collect();
-            let tmp = self.root.join("tmp").join(format!(
-                "journal.{}.tmp",
-                self.op_counter.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = crate::atomic::atomic_write(&tmp, &self.journal_path(), body.as_bytes());
+            let tmp = self.temp_path("journal");
+            if crate::atomic::atomic_write(&tmp, &self.journal_path(), body.as_bytes()).is_err() {
+                let _ = fs::remove_file(&tmp);
+            }
         }
     }
 
@@ -691,6 +719,38 @@ fn parse_live_token(token: &str) -> Option<(u32, u64)> {
     }
     let pid = parts.next()?.parse().ok()?;
     let start = parts.next()?.parse().ok()?;
+    Some((pid, start))
+}
+
+/// Whether a file in `tmp/` is a write abandoned by a crash, safe to
+/// sweep: its writer (pid + start time from the name) is no longer
+/// running. Where liveness cannot be determined (no procfs) the file must
+/// have outlived `lock_timeout`. Names without a writer — written by older
+/// builds — are always swept.
+fn temp_is_abandoned(path: &Path, lock_timeout: Duration) -> bool {
+    let Some((pid, start)) = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .and_then(parse_temp_writer)
+    else {
+        return true;
+    };
+    match holder_alive(pid, start) {
+        Some(alive) => !alive,
+        None => fs::metadata(path)
+            .and_then(|m| m.modified())
+            .map_or(true, |t| t.elapsed().is_ok_and(|age| age >= lock_timeout)),
+    }
+}
+
+/// The writer `(pid, start time)` of a temp file named
+/// `<stem>.<pid>.<start>.<n>.tmp`; `None` for any other name.
+fn parse_temp_writer(name: &str) -> Option<(u32, u64)> {
+    let mut parts = name.strip_suffix(".tmp")?.rsplit('.');
+    parts.next()?.parse::<u64>().ok()?;
+    let start = parts.next()?.parse().ok()?;
+    let pid = parts.next()?.parse().ok()?;
+    parts.next()?;
     Some((pid, start))
 }
 
@@ -989,7 +1049,8 @@ mod tests {
             assert_eq!(store.publish(&victim, "doomed").unwrap(), Published::Stored);
         }
 
-        // The short write's partial temp file is swept at the next open.
+        // The short write's partial temp file is gone: its live writer
+        // removed it (a crashed writer's is swept at the next open).
         let _ = PlanStore::open(&dir).unwrap();
         let leftovers = fs::read_dir(dir.join("tmp")).unwrap().count();
         assert_eq!(leftovers, 0, "partial temp files must be swept");
@@ -1051,12 +1112,59 @@ mod tests {
     fn open_sweeps_abandoned_temp_files() {
         let dir = scratch_dir("sweep");
         let store = PlanStore::open(&dir).unwrap();
-        let leftover = dir.join("tmp").join("deadbeef.0.tmp");
-        fs::write(&leftover, b"half an entry").unwrap();
+        // A name from an older build (no writer) and one whose writer is
+        // dead: this process's pid with a start time it never had.
+        let legacy = dir.join("tmp").join("deadbeef.0.tmp");
+        let pid = std::process::id();
+        let dead_start = process_start_time(pid).unwrap_or(0) + 1;
+        let dead = dir
+            .join("tmp")
+            .join(format!("deadbeef.{pid}.{dead_start}.0.tmp"));
+        for leftover in [&legacy, &dead] {
+            fs::write(leftover, b"half an entry").unwrap();
+        }
         drop(store);
         let _ = PlanStore::open(&dir).unwrap();
-        assert!(!leftover.exists(), "open() must sweep tmp/");
+        assert!(!legacy.exists(), "open() must sweep writerless temp files");
+        assert!(
+            !dead.exists(),
+            "open() must sweep a dead writer's temp file"
+        );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_leaves_a_live_writers_temp_file_alone() {
+        let dir = scratch_dir("live-temp");
+        let a = PlanStore::open(&dir).unwrap();
+        // Store A is mid-publish: its temp file is written, not yet renamed.
+        let in_flight = a.temp_path(&key().hex());
+        fs::write(&in_flight, b"half an entry").unwrap();
+        // Store B opens the same root meanwhile.
+        let b = PlanStore::open(&dir).unwrap();
+        assert!(in_flight.exists(), "B's open swept A's in-flight publish");
+        // A's rename still lands, and B reads the entry.
+        fs::rename(&in_flight, a.entry_path(&key())).unwrap();
+        assert!(b.entry_path(&key()).exists());
+        // Two stores (or two processes) never share a temp name.
+        assert_ne!(a.temp_path("k"), b.temp_path("k"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn temp_names_carry_their_writer() {
+        let pid = std::process::id();
+        assert_eq!(
+            parse_temp_writer(&format!("00ff.{pid}.77.3.tmp")),
+            Some((pid, 77))
+        );
+        assert_eq!(
+            parse_temp_writer(&format!("journal.{pid}.77.3.tmp")),
+            Some((pid, 77))
+        );
+        for legacy in ["deadbeef.0.tmp", "journal.5.tmp", "1.2.3.tmp", "x.1.2.3"] {
+            assert_eq!(parse_temp_writer(legacy), None, "{legacy}");
+        }
     }
 
     #[test]

@@ -30,7 +30,9 @@ use std::path::Path;
 
 /// Checkpoint payload schema version; bumped on incompatible layout
 /// changes so an old-format checkpoint is rejected, not misread.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Version 2 stores genomes densely (a group id per unit id plus a fission
+/// bitset) instead of as a fission set and a unit-to-group map.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Serialized state of one island.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -133,16 +135,24 @@ pub fn load_checkpoint(path: &Path, fingerprint: &str) -> CheckpointLoad {
         Ok(entry) => entry,
         Err(reason) => return CheckpointLoad::Rejected(reason.to_string()),
     };
+    // The version is read first: an older layout would not parse as this
+    // one, and skew should be reported as skew.
+    #[derive(Deserialize)]
+    struct Version {
+        version: u32,
+    }
+    match serde_json::from_str::<Version>(&entry.payload) {
+        Ok(Version { version }) if version != CHECKPOINT_VERSION => {
+            return CheckpointLoad::Rejected(format!(
+                "checkpoint schema version {version} (this build speaks {CHECKPOINT_VERSION})"
+            ))
+        }
+        _ => {}
+    }
     let state: CheckpointState = match serde_json::from_str(&entry.payload) {
         Ok(s) => s,
         Err(e) => return CheckpointLoad::Rejected(format!("checkpoint payload does not parse: {e}")),
     };
-    if state.version != CHECKPOINT_VERSION {
-        return CheckpointLoad::Rejected(format!(
-            "checkpoint schema version {} (this build speaks {CHECKPOINT_VERSION})",
-            state.version
-        ));
-    }
     if state.fingerprint != fingerprint {
         return CheckpointLoad::Rejected(
             "checkpoint belongs to a different search configuration".into(),
@@ -154,7 +164,7 @@ pub fn load_checkpoint(path: &Path, fingerprint: &str) -> CheckpointLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeMap, BTreeSet};
+    use crate::space::tests::{space_for, SRC};
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -168,10 +178,14 @@ mod tests {
     }
 
     fn sample() -> CheckpointState {
-        let ind = Individual {
-            fissioned: BTreeSet::from([3]),
-            group_of: BTreeMap::from([(0, 0), (1, 0), (4, 2)]),
-        };
+        // A fissioned launch whose first product shares a group with the
+        // other launch.
+        let space = space_for(SRC);
+        let mut ind = Individual::singletons(&space);
+        ind.fission(&space, 0);
+        let product = space.units[0].products[0];
+        ind.set_group(1, ind.group(product).unwrap());
+        assert_eq!(ind.fission_count(), 1);
         CheckpointState {
             version: CHECKPOINT_VERSION,
             fingerprint: "fp".into(),
@@ -268,6 +282,28 @@ mod tests {
                 CheckpointLoad::Rejected(_) => {}
                 other => panic!("cut at {cut}: expected rejection, got {other:?}"),
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_one_checkpoint_is_rejected_as_skew() {
+        // The layout before dense genomes: a fission set and a
+        // unit-to-group map per individual.
+        let dir = scratch("v1");
+        let path = dir.join("search.ckpt");
+        let v1 = r#"{"version":1,"fingerprint":"fp","epoch":0,"prior_hits":0,"prior_misses":0,"degradations":[],"islands":[{"index":0,"alive":true,"rng_state":[1,2,3,4],"population":[{"fissioned":[3],"group_of":{"0":0,"1":0}}],"scores":[1.0],"evaluations":1,"eval_budget":0,"wall_spent_ms":0,"poisoned":0,"generations_run":1,"history":[1.0],"fission_moves":0,"retained_fissions":0,"stagnant":0,"stop":null,"elite_scores":[],"elites":[]}]}"#;
+        atomic_write(
+            &path.with_extension("ckpt.tmp"),
+            &path,
+            &encode(&checkpoint_key("fp"), v1),
+        )
+        .unwrap();
+        match load_checkpoint(&path, "fp") {
+            CheckpointLoad::Rejected(reason) => {
+                assert!(reason.contains("schema version 1"), "{reason}")
+            }
+            other => panic!("expected rejection, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,11 +3,18 @@
 //! Falkenauer-style GGA: chromosomes are partitions; crossover injects
 //! whole groups from one parent into the other with repair; mutations
 //! merge/split/move at group granularity; fission/defission moves realize
-//! the lazy-fission relaxation. Objective evaluation — >90% of the
-//! search runtime in the paper — is parallelized with rayon (the paper's
-//! implementation is OpenMP-parallel).
+//! the lazy-fission relaxation.
+//!
+//! The paper puts over 90% of its transform time in objective evaluation
+//! and parallelizes it with OpenMP. Here the memoized projection makes a
+//! score cheap, and breeding — feasibility checks on every tentative
+//! move — was most of a search (about 1.5 s of SCALE-LES's 1.7 s single
+//! -threaded) until the dense genome made it cheap too. So one search
+//! evaluates serially: spawning threads per generation cost more than it
+//! saved. Parallelism lives a level up — in the islands ([`crate::islands`],
+//! one spawn per epoch) and in `sfd --jobs`.
 
-use crate::genome::Individual;
+use crate::genome::{with_scratch, Individual, Scratch};
 use crate::objective::{self, Penalty};
 use crate::params::SearchConfig;
 use crate::projection::{ProjectionEngine, ProjectionStats};
@@ -15,7 +22,6 @@ use crate::space::SearchSpace;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use sf_gpusim::isolate::isolated;
 use sf_plan::{CodegenMode, GroupPlan, GroupProjection, PrecedenceClass, TransformPlan};
 use std::collections::BTreeSet;
@@ -233,7 +239,7 @@ pub fn search_with_faults_seeded(
         scores = eval(&population, &mut evaluations, &mut poisoned);
         best_idx = argmax(&scores);
         history.push(scores[best_idx]);
-        retained_fissions += population[best_idx].fissioned.len() as u64;
+        retained_fissions += population[best_idx].fission_count() as u64;
 
         if config.stagnation_window > 0 {
             if scores[best_idx] <= prev_best + 1e-12 {
@@ -327,12 +333,13 @@ pub fn lower_plan(
     plan
 }
 
-/// Evaluate a population in parallel, isolating panics per candidate.
+/// Evaluate a population serially, isolating panics per candidate.
 ///
 /// Every evaluation gets a global index (for deterministic fault
-/// injection); a candidate whose evaluation panics is retried serially up
-/// to `retries` times (fresh indices, so injected transient faults clear),
-/// then scored [`POISONED_FITNESS`].
+/// injection); a candidate whose evaluation panics is retried up to
+/// `retries` times after the first pass over the population (fresh
+/// indices, so injected transient faults clear), then scored
+/// [`POISONED_FITNESS`].
 fn evaluate(
     engine: &ProjectionEngine<'_>,
     population: &[Individual],
@@ -352,13 +359,11 @@ fn evaluate(
     };
     let base = *evaluations;
     *evaluations += population.len() as u64;
-    let indexed: Vec<(u64, &Individual)> = population
+    let raw: Vec<Result<f64, String>> = population
         .iter()
         .enumerate()
-        .map(|(i, ind)| (base + i as u64, ind))
+        .map(|(i, ind)| one(base + i as u64, ind))
         .collect();
-    let raw: Vec<Result<f64, String>> =
-        indexed.par_iter().map(|&(idx, ind)| one(idx, ind)).collect();
     raw.into_iter()
         .enumerate()
         .map(|(i, r)| match r {
@@ -393,34 +398,36 @@ pub(crate) fn breed(
     fission_moves: &mut u64,
 ) -> Individual {
     let space = engine.space();
-    let a = tournament(scores, config.tournament, rng);
-    let mut child = if rng.gen_bool(config.crossover_rate) {
-        let b = tournament(scores, config.tournament, rng);
-        crossover(space, &population[a], &population[b], rng)
-    } else {
-        population[a].clone()
-    };
-    // Mutations.
-    if rng.gen_bool(config.p_merge) {
-        mutate_merge(space, &mut child, eligible, rng);
-    }
-    if rng.gen_bool(config.p_split) {
-        mutate_split(space, &mut child, rng);
-    }
-    if rng.gen_bool(config.p_move) {
-        mutate_move(space, &mut child, rng);
-    }
-    if config.p_fission > 0.0
-        && rng.gen_bool(config.p_fission)
-        && mutate_fission(engine, &mut child, rng)
-    {
-        *fission_moves += 1;
-    }
-    if config.p_defission > 0.0 && rng.gen_bool(config.p_defission) {
-        mutate_defission(space, &mut child, rng);
-    }
-    debug_assert!(child.feasible(space));
-    child
+    with_scratch(|s| {
+        let a = tournament(scores, config.tournament, rng);
+        let mut child = if rng.gen_bool(config.crossover_rate) {
+            let b = tournament(scores, config.tournament, rng);
+            crossover(space, &population[a], &population[b], rng, s)
+        } else {
+            population[a].clone()
+        };
+        // Mutations.
+        if rng.gen_bool(config.p_merge) {
+            merge_in(space, &mut child, eligible, rng, s);
+        }
+        if rng.gen_bool(config.p_split) {
+            mutate_split(space, &mut child, rng, s);
+        }
+        if rng.gen_bool(config.p_move) {
+            mutate_move(space, &mut child, rng, s);
+        }
+        if config.p_fission > 0.0
+            && rng.gen_bool(config.p_fission)
+            && mutate_fission(engine, &mut child, rng, s)
+        {
+            *fission_moves += 1;
+        }
+        if config.p_defission > 0.0 && rng.gen_bool(config.p_defission) {
+            mutate_defission(space, &mut child, rng, s);
+        }
+        debug_assert!(child.feasible_in(space, s));
+        child
+    })
 }
 
 pub(crate) fn argmax(scores: &[f64]) -> usize {
@@ -443,6 +450,16 @@ fn tournament(scores: &[f64], k: usize, rng: &mut SmallRng) -> usize {
     best
 }
 
+/// A uniformly drawn fusion group (two or more members) of the loaded
+/// view, as a slot; `None` without drawing when there is none.
+fn pick_fusion_group(s: &Scratch, rng: &mut SmallRng) -> Option<usize> {
+    let count = s.view.fusion_slots().count();
+    if count == 0 {
+        return None;
+    }
+    s.view.fusion_slots().nth(rng.gen_range(0..count))
+}
+
 /// Group-injection crossover: clone A, then try to impose a random fusion
 /// group of B onto the clone (re-grouping those members together when
 /// every one of them is active and the result stays feasible).
@@ -451,95 +468,108 @@ fn crossover(
     a: &Individual,
     b: &Individual,
     rng: &mut SmallRng,
+    s: &mut Scratch,
 ) -> Individual {
     let mut child = a.clone();
-    let b_groups = b.fusion_groups();
-    if b_groups.is_empty() {
+    s.view.load(b);
+    let Some(k) = pick_fusion_group(s, rng) else {
         return child;
-    }
-    let donor = &b_groups[rng.gen_range(0..b_groups.len())];
+    };
+    let mut donor = std::mem::take(&mut s.units);
+    donor.clear();
+    donor.extend_from_slice(s.view.members(k));
     // All donor members must be active in the child (same fission state).
-    if !donor.iter().all(|u| child.group_of.contains_key(u)) {
-        return child;
+    if donor.iter().all(|&u| child.is_active(u as usize)) {
+        s.saved.clone_from(&child);
+        let g = child.fresh_group_id();
+        for &u in &donor {
+            child.set_group(u as usize, g);
+        }
+        if !child.feasible_in(space, s) {
+            child.clone_from(&s.saved);
+        }
     }
-    let saved = child.clone();
-    let g = child.fresh_group_id();
-    for &u in donor {
-        child.group_of.insert(u, g);
-    }
-    if child.feasible(space) {
-        child
-    } else {
-        saved
-    }
+    s.units = donor;
+    child
 }
 
 pub(crate) fn mutate_merge(
     space: &SearchSpace,
     ind: &mut Individual,
-    _eligible: &[usize],
+    eligible: &[usize],
     rng: &mut SmallRng,
 ) {
-    let active: Vec<usize> = ind
-        .active_units()
-        .into_iter()
-        .filter(|&u| space.units[u].eligible)
-        .collect();
-    if active.len() < 2 {
-        return;
-    }
-    // A few attempts to find a feasible merge.
-    for _ in 0..4 {
-        let x = active[rng.gen_range(0..active.len())];
-        let y = active[rng.gen_range(0..active.len())];
-        if x != y && ind.try_merge(space, x, y) {
-            return;
-        }
-    }
+    with_scratch(|s| merge_in(space, ind, eligible, rng, s));
 }
 
-fn mutate_split(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng) {
-    let groups = ind.fusion_groups();
-    if groups.is_empty() {
-        return;
+/// [`mutate_merge`] in caller-provided scratch.
+fn merge_in(
+    space: &SearchSpace,
+    ind: &mut Individual,
+    _eligible: &[usize],
+    rng: &mut SmallRng,
+    s: &mut Scratch,
+) {
+    let mut active = std::mem::take(&mut s.units);
+    active.clear();
+    active.extend(
+        ind.assignments()
+            .map(|(u, _)| u as u32)
+            .filter(|&u| space.units[u as usize].eligible),
+    );
+    if active.len() >= 2 {
+        // A few attempts to find a feasible merge.
+        for _ in 0..4 {
+            let x = active[rng.gen_range(0..active.len())] as usize;
+            let y = active[rng.gen_range(0..active.len())] as usize;
+            if x != y && ind.try_merge_in(space, x, y, s) {
+                break;
+            }
+        }
     }
-    let g = &groups[rng.gen_range(0..groups.len())];
+    s.units = active;
+}
+
+fn mutate_split(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng, s: &mut Scratch) {
+    s.view.load(ind);
+    let Some(k) = pick_fusion_group(s, rng) else {
+        return;
+    };
     // Move a random member out into a fresh singleton. Splitting the middle
     // of a flow chain out of its group creates a quotient cycle (the two
     // remaining halves wrap around the singleton), so check and revert.
-    let &victim = g.choose(rng).expect("non-empty group");
-    let saved = ind.group_of.get(&victim).copied();
+    let victim = *s.view.members(k).choose(rng).expect("non-empty group") as usize;
+    let saved = ind.group(victim).expect("members are active");
     let fresh = ind.fresh_group_id();
-    ind.group_of.insert(victim, fresh);
-    if !ind.feasible(space) {
-        if let Some(old) = saved {
-            ind.group_of.insert(victim, old);
-        }
+    ind.set_group(victim, fresh);
+    if !ind.feasible_in(space, s) {
+        ind.set_group(victim, saved);
     }
 }
 
-fn mutate_move(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng) {
-    let groups = ind.fusion_groups();
-    if groups.is_empty() {
+fn mutate_move(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng, s: &mut Scratch) {
+    s.view.load(ind);
+    let Some(k) = pick_fusion_group(s, rng) else {
         return;
+    };
+    let victim = *s.view.members(k).choose(rng).expect("non-empty group") as usize;
+    let mut active = std::mem::take(&mut s.units);
+    active.clear();
+    active.extend(
+        ind.assignments()
+            .map(|(u, _)| u as u32)
+            .filter(|&u| u as usize != victim && space.units[u as usize].eligible),
+    );
+    if !active.is_empty() {
+        let target = active[rng.gen_range(0..active.len())] as usize;
+        s.saved.clone_from(ind);
+        let fresh = ind.fresh_group_id();
+        ind.set_group(victim, fresh);
+        if !ind.try_merge_in(space, victim, target, s) {
+            ind.clone_from(&s.saved);
+        }
     }
-    let g = &groups[rng.gen_range(0..groups.len())];
-    let &victim = g.choose(rng).expect("non-empty group");
-    let active: Vec<usize> = ind
-        .active_units()
-        .into_iter()
-        .filter(|&u| u != victim && space.units[u].eligible)
-        .collect();
-    if active.is_empty() {
-        return;
-    }
-    let target = active[rng.gen_range(0..active.len())];
-    let saved = ind.group_of.clone();
-    let fresh = ind.fresh_group_id();
-    ind.group_of.insert(victim, fresh);
-    if !ind.try_merge(space, victim, target) {
-        ind.group_of = saved;
-    }
+    s.units = active;
 }
 
 /// The lazy-fission move: preferentially split a member of a group whose
@@ -549,76 +579,86 @@ fn mutate_fission(
     engine: &ProjectionEngine<'_>,
     ind: &mut Individual,
     rng: &mut SmallRng,
+    s: &mut Scratch,
 ) -> bool {
     let space = engine.space();
+    let fissionable = |u: u32| {
+        let unit = &space.units[u as usize];
+        unit.parent.is_none() && unit.fissionable()
+    };
     // Find violating groups first.
-    let mut candidates: Vec<usize> = Vec::new();
-    for (_, members) in ind.groups() {
-        let cost = engine.group_cost(&members);
-        if cost.smem_violation {
-            for &m in &members {
-                if space.units[m].parent.is_none() && space.units[m].fissionable() {
-                    candidates.push(m);
-                }
-            }
+    let mut candidates = std::mem::take(&mut s.units);
+    candidates.clear();
+    s.view.load(ind);
+    for k in 0..s.view.len() {
+        let members = s.view.members(k);
+        if engine.group_cost_sorted(members).smem_violation {
+            candidates.extend(members.iter().copied().filter(|&m| fissionable(m)));
         }
     }
     if candidates.is_empty() {
-        candidates = ind
-            .active_units()
-            .into_iter()
-            .filter(|&u| space.units[u].parent.is_none() && space.units[u].fissionable())
-            .collect();
+        candidates.extend(
+            ind.assignments()
+                .map(|(u, _)| u as u32)
+                .filter(|&u| fissionable(u)),
+        );
     }
-    if candidates.is_empty() {
+    let victim =
+        (!candidates.is_empty()).then(|| candidates[rng.gen_range(0..candidates.len())] as usize);
+    s.units = candidates;
+    let Some(victim) = victim else {
         return false;
-    }
-    let victim = candidates[rng.gen_range(0..candidates.len())];
+    };
     // Remember the victim's group so products can rejoin it.
-    let old_group = ind.group_of.get(&victim).copied();
-    let saved = ind.clone();
+    let old_group = ind.group(victim);
+    s.saved.clone_from(ind);
     ind.fission(space, victim);
-    if !ind.feasible(space) {
-        *ind = saved;
+    if !ind.feasible_in(space, s) {
+        ind.clone_from(&s.saved);
         return false;
     }
     // Try to put each product back into the old group (keeps the locality
     // the group had, minus the separable parts).
     if let Some(g) = old_group {
-        if let Some(rep) = ind
-            .group_of
-            .iter()
-            .find(|(_, &gg)| gg == g)
-            .map(|(&u, _)| u)
-        {
-            let products = space.units[victim].products.clone();
-            for p in products {
-                let _ = ind.try_merge(space, rep, p);
+        let rep = ind.assignments().find(|&(_, gg)| gg == g).map(|(u, _)| u);
+        if let Some(rep) = rep {
+            for &p in &space.units[victim].products {
+                let _ = ind.try_merge_in(space, rep, p, s);
             }
         }
     }
     true
 }
 
-fn mutate_defission(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng) {
-    let fissioned: Vec<usize> = ind.fissioned.iter().copied().collect();
-    if fissioned.is_empty() {
+fn mutate_defission(
+    space: &SearchSpace,
+    ind: &mut Individual,
+    rng: &mut SmallRng,
+    s: &mut Scratch,
+) {
+    let count = ind.fission_count();
+    if count == 0 {
         return;
     }
-    let victim = fissioned[rng.gen_range(0..fissioned.len())];
+    let victim = ind
+        .fissioned()
+        .nth(rng.gen_range(0..count))
+        .expect("index within the fission set");
     // Only when all products are singletons (nothing is lost).
-    let all_single = space.units[victim].products.iter().all(|p| {
-        let g = ind.group_of[p];
-        ind.group_of.values().filter(|&&x| x == g).count() == 1
+    let all_single = space.units[victim].products.iter().all(|&p| {
+        let g = ind
+            .group(p)
+            .expect("products of a fissioned unit are active");
+        ind.assignments().filter(|&(_, x)| x == g).count() == 1
     });
     if all_single {
         // The reunified original carries the union of its products' edges,
         // which can re-create a quotient cycle the split avoided — check
         // and revert.
-        let saved = ind.clone();
+        s.saved.clone_from(ind);
         ind.defission(space, victim);
-        if !ind.feasible(space) {
-            *ind = saved;
+        if !ind.feasible_in(space, s) {
+            ind.clone_from(&s.saved);
         }
     }
 }
@@ -685,10 +725,17 @@ void host() {
     #[test]
     fn search_is_deterministic_per_seed() {
         let space = space_for(CHAIN4);
-        let a = search(&space, &SearchConfig::quick());
-        let b = search(&space, &SearchConfig::quick());
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.best_gflops, b.best_gflops);
+        let a = crate::with_threads(1, || search(&space, &SearchConfig::quick()));
+        // A rerun, and a run with a second worker thread available: the
+        // serial search must not care.
+        for threads in [1, 2] {
+            let b = crate::with_threads(threads, || search(&space, &SearchConfig::quick()));
+            assert_eq!(a.best, b.best, "{threads} threads");
+            assert_eq!(a.best_gflops, b.best_gflops, "{threads} threads");
+            assert_eq!(a.plan.to_json(), b.plan.to_json(), "{threads} threads");
+            assert_eq!(a.evaluations, b.evaluations, "{threads} threads");
+            assert_eq!(a.projection, b.projection, "{threads} threads");
+        }
         let c = search(
             &space,
             &SearchConfig {
@@ -724,7 +771,7 @@ void host() {
         let space = space_for(CHAIN4);
         let result = search(&space, &SearchConfig::quick().without_fission());
         assert_eq!(result.fissions_per_generation, 0.0);
-        assert!(result.best.fissioned.is_empty());
+        assert_eq!(result.best.fission_count(), 0);
     }
 
     #[test]
@@ -873,16 +920,16 @@ void host() {
         let mut b = Individual::singletons(&space);
         assert!(b.try_merge(&space, 2, 3)); // donor group {p3, p4}
         let mut rng = SmallRng::seed_from_u64(1);
-        let child = crossover(&space, &a, &b, &mut rng);
+        let child = with_scratch(|s| crossover(&space, &a, &b, &mut rng, s));
         assert!(child.feasible(&space));
-        assert_eq!(child.group_of[&2], child.group_of[&3]);
+        assert_eq!(child.group(2), child.group(3));
         // Crossover must not disturb unrelated units.
-        assert_ne!(child.group_of[&0], child.group_of[&1]);
+        assert_ne!(child.group(0), child.group(1));
         // And it is not destructive of the recipient's own groups:
         assert!(a.try_merge(&space, 0, 1));
-        let child2 = crossover(&space, &a, &b, &mut rng);
-        assert_eq!(child2.group_of[&0], child2.group_of[&1]);
-        assert_eq!(child2.group_of[&2], child2.group_of[&3]);
+        let child2 = with_scratch(|s| crossover(&space, &a, &b, &mut rng, s));
+        assert_eq!(child2.group(0), child2.group(1));
+        assert_eq!(child2.group(2), child2.group(3));
     }
 
     #[test]
@@ -906,7 +953,7 @@ void host() {
         assert!(ind.try_merge(&space, 2, 3));
         let mut rng = SmallRng::seed_from_u64(5);
         for _ in 0..20 {
-            mutate_split(&space, &mut ind, &mut rng);
+            with_scratch(|s| mutate_split(&space, &mut ind, &mut rng, s));
             assert!(ind.feasible(&space));
         }
     }

@@ -371,7 +371,7 @@ fn advance_epoch(
         state.scores = evaluate_island(engine, penalty, poison, config.eval_retries, state);
         let best = rank_desc(&state.scores, &state.population)[0];
         state.history.push(state.scores[best]);
-        state.retained_fissions += state.population[best].fissioned.len() as u64;
+        state.retained_fissions += state.population[best].fission_count() as u64;
 
         if config.stagnation_window > 0 {
             if state.scores[best] <= prev_best + 1e-12 {
@@ -843,10 +843,26 @@ void host() {
     fn island_search_is_deterministic_and_returns_a_valid_plan() {
         let space = space_for(CHAIN4);
         let cfg = island_config(3);
-        let a = search_islands(&space, &cfg, &IslandOptions::default());
-        let b = search_islands(&space, &cfg, &IslandOptions::default());
-        assert_eq!(a.result.best, b.result.best);
-        assert_eq!(plan_bytes(&a), plan_bytes(&b));
+        let a = crate::with_threads(1, || {
+            search_islands(&space, &cfg, &IslandOptions::default())
+        });
+        // A rerun, and a run whose islands share one projection engine
+        // across two threads: plan and counters must not move.
+        for threads in [1, 2] {
+            let b = crate::with_threads(threads, || {
+                search_islands(&space, &cfg, &IslandOptions::default())
+            });
+            assert_eq!(a.result.best, b.result.best, "{threads} threads");
+            assert_eq!(plan_bytes(&a), plan_bytes(&b), "{threads} threads");
+            assert_eq!(
+                a.result.evaluations, b.result.evaluations,
+                "{threads} threads"
+            );
+            assert_eq!(
+                a.result.projection, b.result.projection,
+                "{threads} threads"
+            );
+        }
         assert!(a.result.best.feasible(&space));
         assert!(a.degradations.is_empty());
         assert_eq!(a.islands, 3);

@@ -25,6 +25,7 @@
 //! ([`islands`]): panic-isolated epochs, seeded migration, a canonical
 //! deterministic merge, and crash checkpoint/resume ([`checkpoint`]).
 
+mod bitset;
 pub mod checkpoint;
 pub mod genome;
 pub mod gga;
@@ -49,5 +50,22 @@ pub use islands::{
     search_islands, IslandFaults, IslandOptions, IslandSearchResult, SearchDegradation,
 };
 pub use params::SearchConfig;
-pub use projection::{GroupKey, ProjectionEngine, ProjectionStats};
+pub use projection::{ProjectionEngine, ProjectionStats};
 pub use space::{SearchSpace, Unit};
+
+/// Run `f` with the vendored rayon shim sized to `threads` workers. The
+/// shim reads `RAYON_NUM_THREADS` on every parallel call; the lock keeps
+/// tests that set it from interleaving.
+#[cfg(test)]
+pub(crate) fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let previous = std::env::var("RAYON_NUM_THREADS").ok();
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+    let out = f();
+    match previous {
+        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    out
+}

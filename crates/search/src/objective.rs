@@ -12,7 +12,7 @@
 //! fission can free the capacity), while violations with no fission escape
 //! are penalized hard.
 
-use crate::genome::Individual;
+use crate::genome::{with_scratch, Individual};
 use crate::projection::ProjectionEngine;
 use crate::space::SearchSpace;
 use sf_gpusim::timing::{LaunchProfile, TimingModel};
@@ -306,35 +306,44 @@ pub fn fitness_with(engine: &ProjectionEngine<'_>, ind: &Individual, penalty: &P
     let mut total_flops = 0.0f64;
     let mut total_time = 0.0f64;
     let mut scale = 1.0f64;
-    for (_, members) in ind.groups() {
-        let repeat = members
-            .iter()
-            .map(|&m| space.units[m].repeat)
-            .max()
-            .unwrap_or(1) as f64;
-        let cost = engine.group_cost(&members);
-        total_flops += cost.flops as f64 * repeat;
-        total_time += cost.time_us * repeat;
-        if cost.smem_violation {
-            scale *= if cost.fission_escape {
-                penalty.soft
-            } else {
-                penalty.hard
-            };
+    with_scratch(|s| {
+        s.view.load(ind);
+        for k in 0..s.view.len() {
+            let members = s.view.members(k);
+            let repeat = group_repeat(space, members);
+            let cost = engine.group_cost_sorted(members);
+            total_flops += cost.flops as f64 * repeat;
+            total_time += cost.time_us * repeat;
+            if cost.smem_violation {
+                scale *= if cost.fission_escape {
+                    penalty.soft
+                } else {
+                    penalty.hard
+                };
+            }
+            // Confidence-aware widening: only fusions (≥ 2 members) pay it —
+            // leaving a noisy kernel alone is the safe default, committing to
+            // a grouping on its numbers is not. Floored so even very noisy
+            // groups keep a nonzero fitness and can be compared.
+            if members.len() >= 2 && cost.max_dispersion > 0.0 {
+                scale *= (1.0 - penalty.noise_aversion * cost.max_dispersion).clamp(0.25, 1.0);
+            }
         }
-        // Confidence-aware widening: only fusions (≥ 2 members) pay it —
-        // leaving a noisy kernel alone is the safe default, committing to a
-        // grouping on its numbers is not. Floored so even very noisy groups
-        // keep a nonzero fitness and can be compared.
-        if members.len() >= 2 && cost.max_dispersion > 0.0 {
-            scale *= (1.0 - penalty.noise_aversion * cost.max_dispersion).clamp(0.25, 1.0);
-        }
-    }
+    });
     if !total_time.is_finite() || total_time <= 0.0 {
         return 0.0;
     }
     // GFLOPS = flops / (µs × 1e3).
     (total_flops / (total_time * 1e3)) * scale
+}
+
+/// How many times a group executes: its most repeated member's weight.
+fn group_repeat(space: &SearchSpace, members: &[u32]) -> f64 {
+    members
+        .iter()
+        .map(|&m| space.units[m as usize].repeat)
+        .max()
+        .unwrap_or(1) as f64
 }
 
 /// Uncached convenience wrapper around [`fitness_with`] for one-off
@@ -346,17 +355,15 @@ pub fn fitness(space: &SearchSpace, ind: &Individual, penalty: &Penalty) -> f64 
 /// Projected end-to-end runtime (µs) of an individual, ignoring penalties.
 pub fn projected_time_us_with(engine: &ProjectionEngine<'_>, ind: &Individual) -> f64 {
     let space = engine.space();
-    ind.groups()
-        .values()
-        .map(|members| {
-            let repeat = members
-                .iter()
-                .map(|&m| space.units[m].repeat)
-                .max()
-                .unwrap_or(1) as f64;
-            engine.group_cost(members).time_us * repeat
-        })
-        .sum()
+    with_scratch(|s| {
+        s.view.load(ind);
+        (0..s.view.len())
+            .map(|k| {
+                let members = s.view.members(k);
+                engine.group_cost_sorted(members).time_us * group_repeat(space, members)
+            })
+            .sum()
+    })
 }
 
 /// Uncached convenience wrapper around [`projected_time_us_with`].

@@ -7,6 +7,7 @@
 //! and the products join the unit list. The GA starts with the originals
 //! active; a fission move swaps an original for its products.
 
+use crate::bitset::UnitSet;
 use sf_analysis::filter::FilterDecision;
 use sf_analysis::metadata::{OpsMetadata, PerfMetadata};
 use sf_codegen::transform_program;
@@ -101,6 +102,61 @@ pub struct SearchSpace {
     /// Highest temporal-blocking degree the search may assign to a
     /// whole-loop group (1 disables the dimension entirely).
     pub max_temporal: u32,
+    /// `edges` and `loops` flattened for the GA's inner loop.
+    pub(crate) index: SpaceIndex,
+}
+
+/// Flat views of a space's edges and loops, built once by
+/// [`SearchSpace::build`] so feasibility checks and projection lookups walk
+/// arrays instead of tree maps. Derived from `edges` and `loops`: a space
+/// whose edges or loops change after the build must not be searched.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SpaceIndex {
+    /// Successors of every unit, in `edges` key order: unit `a`'s are
+    /// `succ[succ_bounds[a]..succ_bounds[a + 1]]`.
+    succ_bounds: Vec<u32>,
+    succ: Vec<u32>,
+    /// The hard edges, in `edges` key order.
+    pub(crate) hard_edges: Vec<(u32, u32)>,
+    /// Per recorded loop: its unit ids as a bitset.
+    loop_sets: Vec<UnitSet>,
+    /// Per recorded loop: whether a hard edge joins two of its units.
+    loop_hard: Vec<bool>,
+}
+
+impl SpaceIndex {
+    fn build(units: usize, edges: &BTreeMap<(usize, usize), UnitEdge>, loops: &[LoopSpan]) -> Self {
+        let mut succ_bounds = vec![0u32; units + 1];
+        for &(a, _) in edges.keys() {
+            succ_bounds[a + 1] += 1;
+        }
+        for i in 0..units {
+            succ_bounds[i + 1] += succ_bounds[i];
+        }
+        let hard = |a: usize, b: usize| edges.get(&(a, b)).is_some_and(|e| e.hard);
+        SpaceIndex {
+            succ_bounds,
+            succ: edges.keys().map(|&(_, b)| b as u32).collect(),
+            hard_edges: edges
+                .iter()
+                .filter(|(_, e)| e.hard)
+                .map(|(&(a, b), _)| (a as u32, b as u32))
+                .collect(),
+            loop_sets: loops
+                .iter()
+                .map(|l| UnitSet::of(units, l.units.iter().copied()))
+                .collect(),
+            loop_hard: loops
+                .iter()
+                .map(|l| l.units.iter().any(|&a| l.units.iter().any(|&b| hard(a, b))))
+                .collect(),
+        }
+    }
+
+    /// Unit `a`'s successors.
+    pub(crate) fn succ(&self, a: usize) -> &[u32] {
+        &self.succ[self.succ_bounds[a] as usize..self.succ_bounds[a + 1] as usize]
+    }
 }
 
 impl SearchSpace {
@@ -118,31 +174,42 @@ impl SearchSpace {
     /// units that exactly cover one recorded host time loop, with the
     /// temporal dimension enabled — return the loop index.
     pub fn temporal_group(&self, members: &[usize]) -> Option<usize> {
-        if self.max_temporal < 2 || members.len() < 2 {
+        self.temporal_loop(members.len(), members.iter().copied())
+    }
+
+    /// [`SearchSpace::temporal_group`] over `len` distinct members, decided
+    /// by bitset membership against the loop's precomputed unit set.
+    /// (Fission products are never in a loop's set, so a group holding one
+    /// is never a candidate.)
+    pub(crate) fn temporal_loop(
+        &self,
+        len: usize,
+        mut members: impl Iterator<Item = usize>,
+    ) -> Option<usize> {
+        if self.max_temporal < 2 || len < 2 {
             return None;
         }
-        if members
-            .iter()
-            .any(|&m| self.units[m].mref.fission_component.is_some())
-        {
-            return None;
-        }
-        let li = self.units[members[0]].loop_id?;
-        let mut sorted = members.to_vec();
-        sorted.sort_unstable();
-        let mut loop_units = self.loops[li].units.clone();
-        loop_units.sort_unstable();
-        (sorted == loop_units).then_some(li)
+        let first = members.next()?;
+        let li = self.units[first].loop_id?;
+        let set = &self.index.loop_sets[li];
+        (self.loops[li].units.len() == len
+            && set.contains(first)
+            && members.all(|m| set.contains(m)))
+        .then_some(li)
+    }
+
+    /// Whether a hard edge joins two units of loop `li` — the loop-carried
+    /// dependences that only temporal folding can legalize.
+    pub(crate) fn loop_has_hard_edge(&self, li: usize) -> bool {
+        self.index.loop_hard[li]
     }
 
     /// Temporal degrees worth projecting for loop `li`: each `T` in
     /// `2..=max_temporal` whose ping-pong pair divides the trip count.
     /// (Geometry — halo growth vs block size — is the cost model's job.)
-    pub fn temporal_degrees(&self, li: usize) -> Vec<u32> {
+    pub fn temporal_degrees(&self, li: usize) -> impl Iterator<Item = u32> {
         let count = self.loops[li].count;
-        (2..=self.max_temporal)
-            .filter(|&t| count.is_multiple_of(2 * u64::from(t)))
-            .collect()
+        (2..=self.max_temporal).filter(move |&t| count.is_multiple_of(2 * u64::from(t)))
     }
 
     /// Build the space from a profiled program and its filter decisions.
@@ -362,7 +429,7 @@ impl SearchSpace {
             }
         }
 
-        let loops = plan
+        let loops: Vec<LoopSpan> = plan
             .loops
             .iter()
             .map(|l| LoopSpan {
@@ -372,6 +439,7 @@ impl SearchSpace {
             .collect();
 
         let smem_limit = device.smem_per_block_max;
+        let index = SpaceIndex::build(units.len(), &edges, &loops);
         Ok(SearchSpace {
             units,
             edges,
@@ -379,6 +447,7 @@ impl SearchSpace {
             smem_limit,
             loops,
             max_temporal: 1,
+            index,
         })
     }
 }
@@ -389,7 +458,7 @@ pub(crate) mod tests {
     use sf_analysis::filter::{identify_targets, FilterConfig};
     use sf_minicuda::parse_program;
 
-    const SRC: &str = r#"
+    pub(crate) const SRC: &str = r#"
 __global__ void pair(const double* __restrict__ x, const double* __restrict__ y,
                      double* a, double* b, int nx, int ny, int nz) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;

@@ -8,7 +8,7 @@ use sf_apps::AppConfig;
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::Profiler;
 use sf_minicuda::host::ExecutablePlan;
-use sf_search::{search, Individual, SearchConfig, SearchSpace};
+use sf_search::{search, search_islands, Individual, IslandOptions, SearchConfig, SearchSpace};
 
 fn space_for(name: &str) -> (sf_apps::App, ExecutablePlan, SearchSpace) {
     let app = sf_apps::app_by_name(name, &AppConfig::test()).expect("known app");
@@ -61,13 +61,48 @@ fn elitism_makes_best_fitness_monotone() {
     }
 }
 
+/// Run `f` with the vendored rayon shim sized to `threads` workers (it
+/// reads `RAYON_NUM_THREADS` on every parallel call); the lock keeps tests
+/// that set it from interleaving.
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+    let out = f();
+    std::env::remove_var("RAYON_NUM_THREADS");
+    out
+}
+
+/// Reruns and thread counts 1 and 2 agree exactly, on the serial and the
+/// island path: the winner, the fitness trajectory, the evaluation and
+/// projection-cache counters, and the lowered plan's bytes.
 #[test]
 fn search_deterministic_per_seed_across_runs() {
     let (_, _, space) = space_for("awp-odc");
-    let a = search(&space, &SearchConfig::quick());
-    let b = search(&space, &SearchConfig::quick());
-    assert_eq!(a.best, b.best);
-    assert_eq!(a.history, b.history);
+    let serial = SearchConfig::quick();
+    let islands = SearchConfig::quick().with_islands(3);
+    let run = |threads: usize, cfg: &SearchConfig| {
+        with_threads(threads, || {
+            if cfg.islands > 1 {
+                search_islands(&space, cfg, &IslandOptions::default()).result
+            } else {
+                search(&space, cfg)
+            }
+        })
+    };
+    for cfg in [&serial, &islands] {
+        let a = run(1, cfg);
+        for threads in [1, 2] {
+            let b = run(threads, cfg);
+            let what = format!("islands {} at {threads} threads", cfg.islands);
+            assert_eq!(a.best, b.best, "{what}");
+            assert_eq!(a.history, b.history, "{what}");
+            assert_eq!(a.evaluations, b.evaluations, "{what}");
+            assert_eq!(a.projection.hits, b.projection.hits, "{what}");
+            assert_eq!(a.projection.misses, b.projection.misses, "{what}");
+            assert_eq!(a.plan.to_json(), b.plan.to_json(), "{what}");
+        }
+    }
 }
 
 proptest! {
@@ -99,19 +134,19 @@ proptest! {
                         .collect();
                     if !originals.is_empty() {
                         let v = originals[rng.gen_range(0..originals.len())];
-                        if ind.group_of.contains_key(&v) {
+                        if ind.is_active(v) {
                             ind.fission(&space, v);
                         }
                     }
                 }
                 2 => {
-                    let fissioned: Vec<usize> = ind.fissioned.iter().copied().collect();
+                    let fissioned: Vec<usize> = ind.fissioned().collect();
                     if !fissioned.is_empty() {
                         let v = fissioned[rng.gen_range(0..fissioned.len())];
                         // Defission only when products are singletons.
-                        let singles = space.units[v].products.iter().all(|p| {
-                            ind.group_of.get(p).map(|g| {
-                                ind.group_of.values().filter(|&&x| x == *g).count() == 1
+                        let singles = space.units[v].products.iter().all(|&p| {
+                            ind.group(p).map(|g| {
+                                ind.assignments().filter(|&(_, x)| x == g).count() == 1
                             }).unwrap_or(false)
                         });
                         if singles {
@@ -126,7 +161,7 @@ proptest! {
                         let g = &groups[rng.gen_range(0..groups.len())];
                         let victim = g[rng.gen_range(0..g.len())];
                         let fresh = ind.fresh_group_id();
-                        ind.group_of.insert(victim, fresh);
+                        ind.set_group(victim, fresh);
                     }
                 }
             }
